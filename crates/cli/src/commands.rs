@@ -20,7 +20,7 @@ use wcp_detect::{
 use wcp_net::{
     run_direct_net, run_multi_net, run_vc_token_net, run_vc_token_net_observed,
     run_vc_token_net_recorded, serve_multi_peer, serve_vc_peer, serve_vc_peer_observed, NetConfig,
-    NetReport, TelemetryCollector, TransportKind,
+    NetReport, NetStats, TelemetryCollector, TransportKind,
 };
 use wcp_obs::json::{FromJson, Json, ToJson};
 use wcp_obs::{jsonl, NullRecorder, Recorder, RingRecorder, RunReport};
@@ -366,10 +366,40 @@ pub fn stats(raw: &[String]) -> Result<String, CliError> {
             .time
             .0
     });
+    // Multi-tenant section: the same trace served to a handful of
+    // sessions with diverse scopes through the shared session layer,
+    // surfacing the per-session counters the single-predicate runs
+    // above have no notion of.
+    let n = computation.process_count();
+    let sessions = 2 * n;
+    let multi = run_multi_net(
+        &computation,
+        &derived_predicates(n, sessions),
+        NetConfig::loopback(),
+    );
+    out.push_str(&format!(
+        "== multi-tenant session layer (loopback, {sessions} sessions) ==\n"
+    ));
+    out.push_str(&format!(
+        "sessions      : {} active at end of run\n",
+        multi.report.stats.sessions_active
+    ));
+    out.push_str(&format!(
+        "routing       : {} routed events, {} detections\n",
+        multi.report.stats.routed_events, multi.report.stats.detections
+    ));
+    out.push_str(&format!(
+        "shared store  : {} B of snapshots ({:.1} B/session)\n",
+        multi.report.stored_bytes,
+        multi.report.stored_bytes as f64 / sessions as f64
+    ));
     // Wire section: the same token run over the in-process loopback
     // transport, surfacing the transport-layer counters the simulator has
     // no notion of — batch coalescing, ready-queue watermark, buffer-pool
-    // reuse.
+    // reuse. Every one of them depends on how the peers' threads were
+    // scheduled (even the frame counts: the application tail races the
+    // shutdown broadcast), so the section goes last, under the
+    // scheduling-dependent header.
     let net = run_vc_token_net_recorded(
         &computation,
         &wcp,
@@ -377,7 +407,8 @@ pub fn stats(raw: &[String]) -> Result<String, CliError> {
         Arc::new(NullRecorder),
     )
     .net;
-    out.push_str("== wire transport (loopback, batched writes) ==\n");
+    out.push_str(&format!("\n{SCHEDULING_DEPENDENT}\n"));
+    out.push_str("-- wire transport (loopback, batched writes) --\n");
     out.push_str(&format!(
         "frames        : {} sent ({} B) / {} received ({} B)\n",
         net.frames_sent, net.bytes_sent, net.frames_received, net.bytes_received
@@ -410,33 +441,6 @@ pub fn stats(raw: &[String]) -> Result<String, CliError> {
     out.push_str(&format!(
         "clock chains  : {} keyframes / {} deltas\n",
         net.keyframes_sent, net.delta_frames_sent
-    ));
-    // Multi-tenant section: the same trace served to a handful of
-    // sessions with diverse scopes through the shared session layer,
-    // surfacing the per-session counters the single-predicate runs
-    // above have no notion of.
-    let n = computation.process_count();
-    let sessions = 2 * n;
-    let multi = run_multi_net(
-        &computation,
-        &derived_predicates(n, sessions),
-        NetConfig::loopback(),
-    );
-    out.push_str(&format!(
-        "\n== multi-tenant session layer (loopback, {sessions} sessions) ==\n"
-    ));
-    out.push_str(&format!(
-        "sessions      : {} active at end of run\n",
-        multi.report.stats.sessions_active
-    ));
-    out.push_str(&format!(
-        "routing       : {} routed events, {} detections\n",
-        multi.report.stats.routed_events, multi.report.stats.detections
-    ));
-    out.push_str(&format!(
-        "shared store  : {} B of snapshots ({:.1} B/session)\n",
-        multi.report.stored_bytes,
-        multi.report.stored_bytes as f64 / sessions as f64
     ));
     Ok(out.trim_end().to_string() + "\n")
 }
@@ -711,7 +715,7 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
         net.report.stored_bytes,
         net.report.stored_bytes as f64 / k as f64
     ));
-    out.push_str(&format!("wire: {}\n", net.net));
+    out.push_str(&format!("wire: {}\n", wire_counts(&net.net)));
     for (socket, simulated) in net.report.outcomes.iter().zip(&sim.outcomes) {
         if socket.verdict != simulated.verdict {
             return Err(CliError::runtime(format!(
@@ -727,7 +731,63 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
         }
     }
     out.push_str("simulator cross-check: identical verdicts and metrics\n");
+    out.push_str(&format!(
+        "{SCHEDULING_DEPENDENT}\nwire timing: {}\n",
+        wire_timing(&net.net)
+    ));
     Ok(out)
+}
+
+/// Header of the last part of a report: the counters below it depend on
+/// how the OS scheduled the peers' threads and vary from run to run.
+/// Everything above it is a function of the input alone.
+const SCHEDULING_DEPENDENT: &str = "== scheduling-dependent (thread timing; varies run to run) ==";
+
+/// The wire counters of a multi-tenant run that the input alone
+/// determines: frames and bytes each way, the wire-v2 clock chains and
+/// the session-layer mirrors.
+fn wire_counts(net: &NetStats) -> String {
+    format!(
+        "{} frames / {} B sent, {} frames / {} B received, \
+         {} B v1-equiv ({} keyframes / {} deltas), \
+         multi {} sessions / {} routed / {} detections",
+        net.frames_sent,
+        net.bytes_sent,
+        net.frames_received,
+        net.bytes_received,
+        net.wire_bytes_v1_equiv,
+        net.keyframes_sent,
+        net.delta_frames_sent,
+        net.multi_sessions_active,
+        net.multi_routed_events,
+        net.multi_detections
+    )
+}
+
+/// The wire counters that depend on thread timing: how frames were
+/// coalesced into writes, ready-queue depth, buffer recycling (split and
+/// total both move with the flush count), and the timer-driven recovery,
+/// ack and telemetry traffic.
+fn wire_timing(net: &NetStats) -> String {
+    format!(
+        "{} flushes (max {} B), ready depth ≤ {}, pool {} allocs / {} reuses, \
+         {} retransmits, {} reconnects, {} dups dropped, {} reordered, \
+         {} acks out / {} in, telemetry {} out / {} in ({} B)",
+        net.batch_flushes,
+        net.max_batch_bytes,
+        net.max_ready_depth,
+        net.pool_allocs,
+        net.pool_reuses,
+        net.retransmits,
+        net.reconnects,
+        net.duplicates_dropped,
+        net.reordered,
+        net.acks_sent,
+        net.acks_received,
+        net.telemetry_sent,
+        net.telemetry_received,
+        net.telemetry_bytes
+    )
 }
 
 /// Parses `--peer I --addrs HOST:PORT,...` against a session of `n`
@@ -765,7 +825,7 @@ fn parse_peer_addrs(args: &Args, n: usize) -> Result<(usize, Vec<SocketAddr>), C
 /// `--telemetry` the peer also runs the sidecar telemetry channel: it
 /// streams its ring deltas to peer 0, and peer 0 (the collector) prints
 /// the merged cross-peer summary. With `--multi` the peer instead joins
-/// a multi-tenant session-layer deployment (see [`serve_multi`]).
+/// a multi-tenant session-layer deployment (see `serve_multi`).
 pub fn serve(raw: &[String]) -> Result<String, CliError> {
     let args = Args::parse(raw)?;
     if args.switch("multi") {
@@ -1123,6 +1183,13 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// The part of a report above its [`SCHEDULING_DEPENDENT`] header.
+    fn deterministic_part(report: &str) -> &str {
+        report
+            .split_once(SCHEDULING_DEPENDENT)
+            .map_or(report, |(head, _)| head)
+    }
+
     fn generated_trace(name: &str) -> String {
         let path = tmpfile(name);
         let out = generate(&argv(&[
@@ -1334,6 +1401,12 @@ mod tests {
         assert!(out.contains("multi-tenant session layer"), "{out}");
         assert!(out.contains("routed events"), "{out}");
         assert!(out.contains("shared store"), "{out}");
+        // The wire counters sit under the scheduling-dependent header;
+        // everything above it repeats exactly.
+        let (head, tail) = out.split_once(SCHEDULING_DEPENDENT).expect("header");
+        assert!(tail.contains("buffer pool") && !head.contains("buffer pool"));
+        let again = stats(&argv(&[&path])).unwrap();
+        assert_eq!(deterministic_part(&again), head);
     }
 
     #[test]
@@ -1594,12 +1667,14 @@ mod tests {
     #[test]
     fn multi_demo_pump_threads_is_invisible_in_the_output() {
         // The sharded parallel pump must not change a single verdict, so
-        // the serial and 4-worker runs print identical tables.
+        // the serial and 4-worker runs print identical reports, up to the
+        // thread-timing counters under the scheduling-dependent header.
         let path = generated_trace("multi_demo_pump.json");
         let serial = multi_demo(&argv(&[&path, "--predicates", "6"])).unwrap();
         let parallel =
             multi_demo(&argv(&[&path, "--predicates", "6", "--pump-threads", "4"])).unwrap();
-        assert_eq!(serial, parallel);
+        assert!(serial.contains(SCHEDULING_DEPENDENT), "{serial}");
+        assert_eq!(deterministic_part(&serial), deterministic_part(&parallel));
         assert!(multi_demo(&argv(&[&path, "--pump-threads", "lots"])).is_err());
     }
 

@@ -263,7 +263,7 @@ impl Meter {
 ///
 /// `participants` sizes the per-process work table (the stream itself may
 /// not mention every participant — an idle monitor emits nothing). Inverse
-/// of the [`Meter`] instrumentation: for any offline detector run with a
+/// of the `Meter` instrumentation: for any offline detector run with a
 /// lossless recorder, `replay_metrics(report.metrics.per_process_work.len(),
 /// &events) == report.metrics`.
 pub fn replay_metrics(participants: usize, events: &[StampedEvent]) -> DetectionMetrics {

@@ -16,19 +16,13 @@
 //!
 //! Between two leader merges the groups are *data-independent*: a group's
 //! walk reads and writes only its own token and its own members' queue
-//! heads. [`MultiTokenDetector::with_parallel`] exploits this by running
-//! each group's walk on a `std::thread::scope` thread. Each walk records
-//! its meter effects as an op log instead of touching the shared [`Meter`];
-//! the logs are then applied in group-index order — exactly the order the
-//! sequential emulation interleaves them — so the detected cut, the
-//! [`DetectionMetrics`](crate::DetectionMetrics), and the recorded event
-//! stream are bit-identical to the sequential emulation (property-tested
-//! in `tests/substrate.rs`).
-//!
-//! The emulation also computes
-//! [`DetectionMetrics::parallel_time`](crate::DetectionMetrics::parallel_time):
-//! groups work concurrently between merges, so the critical path per round
-//! is the maximum group work in that round, plus the leader's merge work.
+//! heads. The emulation walks the groups one after another, in group-index
+//! order, and computes
+//! [`DetectionMetrics::parallel_time`](crate::DetectionMetrics::parallel_time)
+//! as if they ran concurrently: the critical path per round is the maximum
+//! group work in that round, plus the leader's merge work. For wall-clock
+//! speed on real threads use the work-optimal
+//! [`ParallelDetector`](crate::ParallelDetector) instead.
 
 use std::fmt;
 use std::sync::Arc;
@@ -71,75 +65,26 @@ impl GroupToken {
     }
 }
 
-/// One deferred meter effect of a group walk. Applying a walk's ops in
-/// order reproduces exactly the meter calls the sequential emulation makes.
-#[derive(Debug, Clone)]
-enum GroupOp {
-    Accepted { at: usize, interval: u64 },
-    Eliminated { at: usize, interval: u64 },
-    Work { at: usize },
-    Invalidated { at: usize, j: usize, interval: u64 },
-    Forwarded { at: usize, next: usize, wire: u64 },
-}
-
-impl GroupOp {
-    fn apply(&self, meter: &mut Meter, n: usize) {
-        match *self {
-            GroupOp::Accepted { at, interval } => {
-                meter.candidate_accepted(at, at, interval, n as u64);
-            }
-            GroupOp::Eliminated { at, interval } => {
-                meter.candidate_eliminated(at, at, interval, n as u64);
-            }
-            GroupOp::Work { at } => meter.work(at, n as u64),
-            GroupOp::Invalidated { at, j, interval } => {
-                meter.candidate_invalidated(at, j, interval);
-            }
-            GroupOp::Forwarded { at, next, wire } => {
-                meter.token_forwarded(at, next, wire);
-                meter.token_acquired(next, Some(at));
-            }
-        }
-    }
-}
-
 /// Result of one group's Phase A walk.
 struct GroupOutcome {
-    /// Deferred meter effects, in the order the walk produced them.
-    ops: Vec<GroupOp>,
-    /// `(member, new head)` for every queue position the walk consumed
-    /// from — only this group's members, so updates are disjoint across
-    /// groups.
-    head_updates: Vec<(usize, usize)>,
     /// Paper work units this walk contributed to the round's critical path.
     group_work: u64,
     /// Member that last held the token.
     last_at: usize,
-    /// Wire size of the token as it returns to the leader (valid only when
-    /// `exhausted_at` is `None`).
-    wire: u64,
     /// `Some(at)` if member `at` ran out of candidates mid-walk.
     exhausted_at: Option<usize>,
 }
 
-/// Walks one group's token among its red members (Phase A of a round).
-///
-/// Pure with respect to shared detector state: reads the queues and the
-/// members' head positions, mutates only `token`, and defers all meter
-/// effects to the returned op log — which is what makes running walks on
-/// scoped threads indistinguishable from running them in sequence.
+/// Walks one group's token among its red members (Phase A of a round),
+/// advancing only those members' queue heads.
 fn run_group(
     queues: &VcSnapshotQueues,
     members: &[usize],
     token: &mut GroupToken,
-    heads: &[usize],
+    heads: &mut [usize],
+    meter: &mut Meter,
     n: usize,
 ) -> GroupOutcome {
-    let mut local_heads: Vec<(usize, usize)> = members.iter().map(|&i| (i, heads[i])).collect();
-    let head_of = |local: &mut Vec<(usize, usize)>, at: usize| -> usize {
-        local.iter().position(|&(i, _)| i == at).expect("member")
-    };
-    let mut ops = Vec::new();
     let mut group_work = 0u64;
     let mut last_at = members[0];
 
@@ -147,33 +92,29 @@ fn run_group(
         last_at = at;
         // Figure 3 `while` loop at member `at`.
         let candidate_row = loop {
-            let slot = head_of(&mut local_heads, at);
-            let head = local_heads[slot].1;
+            let head = heads[at];
             if head >= queues.queue_len(at) {
                 return GroupOutcome {
-                    ops,
-                    head_updates: local_heads,
                     group_work,
                     last_at,
-                    wire: 0,
                     exhausted_at: Some(at),
                 };
             }
-            local_heads[slot].1 += 1;
+            heads[at] += 1;
             group_work += n as u64;
             let interval = queues.interval(at, head);
             if interval > token.g[at] {
-                ops.push(GroupOp::Accepted { at, interval });
+                meter.candidate_accepted(at, at, interval, n as u64);
                 token.g[at] = interval;
                 token.color[at] = Color::Green;
                 break queues.row_id(at, head);
             }
-            ops.push(GroupOp::Eliminated { at, interval });
+            meter.candidate_eliminated(at, at, interval, n as u64);
         };
         token.candidates[at] = Some(candidate_row);
         // Figure 3 `for` loop — updates entries across all of the scope;
         // red members of *other* groups are reconciled at the next merge.
-        ops.push(GroupOp::Work { at });
+        meter.work(at, n as u64);
         group_work += n as u64;
         let row = queues.arena().row(candidate_row);
         for j in 0..n {
@@ -184,32 +125,21 @@ fn run_group(
             if seen >= token.g[j] && seen > 0 {
                 token.g[j] = seen;
                 if token.color[j] == Color::Green {
-                    ops.push(GroupOp::Invalidated {
-                        at,
-                        j,
-                        interval: seen,
-                    });
+                    meter.candidate_invalidated(at, j, seen);
                 }
                 token.color[j] = Color::Red;
             }
         }
         // Token hop to the next red member, if any.
         if let Some(&next) = members.iter().find(|&&i| token.color[i] == Color::Red) {
-            ops.push(GroupOp::Forwarded {
-                at,
-                next,
-                wire: token.wire_size() as u64,
-            });
+            meter.token_forwarded(at, next, token.wire_size() as u64);
+            meter.token_acquired(next, Some(at));
         }
     }
 
-    let wire = token.wire_size() as u64;
     GroupOutcome {
-        ops,
-        head_updates: local_heads,
         group_work,
         last_at,
-        wire,
         exhausted_at: None,
     }
 }
@@ -221,7 +151,6 @@ fn run_group(
 #[derive(Clone)]
 pub struct MultiTokenDetector {
     groups: usize,
-    parallel: bool,
     recorder: Arc<dyn Recorder>,
 }
 
@@ -229,7 +158,6 @@ impl fmt::Debug for MultiTokenDetector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultiTokenDetector")
             .field("groups", &self.groups)
-            .field("parallel", &self.parallel)
             .finish_non_exhaustive()
     }
 }
@@ -244,7 +172,6 @@ impl MultiTokenDetector {
         assert!(groups >= 1, "need at least one group");
         MultiTokenDetector {
             groups,
-            parallel: false,
             recorder: Arc::new(NullRecorder),
         }
     }
@@ -252,15 +179,6 @@ impl MultiTokenDetector {
     /// Number of groups configured.
     pub fn groups(&self) -> usize {
         self.groups
-    }
-
-    /// Runs group walks on `std::thread::scope` threads between leader
-    /// merges, and builds the snapshot arena with one thread per scope
-    /// process. The result — cut, metrics, and recorded events — is
-    /// bit-identical to the sequential emulation.
-    pub fn with_parallel(mut self) -> Self {
-        self.parallel = true;
-        self
     }
 
     /// Streams [`wcp_obs::TraceEvent`]s of the run to `recorder`. Monitor
@@ -285,11 +203,7 @@ impl Detector for MultiTokenDetector {
         let n = wcp.n();
         assert!(n >= 1, "WCP scope must name at least one process");
         let g_count = self.groups.min(n);
-        let queues = if self.parallel {
-            VcSnapshotQueues::build_parallel(annotated, wcp)
-        } else {
-            VcSnapshotQueues::build(annotated, wcp)
-        };
+        let queues = VcSnapshotQueues::build(annotated, wcp);
 
         // Participants: n monitors + 1 leader (index n).
         let leader = n;
@@ -314,50 +228,22 @@ impl Detector for MultiTokenDetector {
         loop {
             // ---- Phase A: groups drain their red members concurrently. ----
             //
-            // Walks are data-independent, so they may run on threads; op
-            // logs are applied in group-index order either way, which makes
-            // the two modes indistinguishable — including when a walk
-            // exhausts its queue: the sequential emulation never starts
-            // later groups, so their (committed-nowhere) results are simply
-            // discarded.
-            let outcomes: Vec<(usize, GroupOutcome)> = if self.parallel {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = tokens
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(gi, _)| active[*gi])
-                        .map(|(gi, token)| {
-                            let members = &members[gi];
-                            let queues = &queues;
-                            let heads = &heads;
-                            (
-                                gi,
-                                s.spawn(move || run_group(queues, members, token, heads, n)),
-                            )
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(gi, h)| (gi, h.join().unwrap()))
-                        .collect()
-                })
-            } else {
-                tokens
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(gi, _)| active[*gi])
-                    .map(|(gi, token)| (gi, run_group(&queues, &members[gi], token, &heads, n)))
-                    .collect()
-            };
-
+            // Emulated one group at a time, in group-index order. A walk
+            // that exhausts its queue ends the run before any later group
+            // walks.
             let mut round_max = 0u64;
-            for (gi, outcome) in outcomes {
-                for op in &outcome.ops {
-                    op.apply(&mut meter, n);
+            for gi in 0..g_count {
+                if !active[gi] {
+                    continue;
                 }
-                for (i, head) in outcome.head_updates {
-                    heads[i] = head;
-                }
+                let outcome = run_group(
+                    &queues,
+                    &members[gi],
+                    &mut tokens[gi],
+                    &mut heads,
+                    &mut meter,
+                    n,
+                );
                 if let Some(at) = outcome.exhausted_at {
                     // Account for the partial round before aborting.
                     meter.parallel_advance(at, outcome.group_work);
@@ -368,7 +254,8 @@ impl Detector for MultiTokenDetector {
                     };
                 }
                 // Group finished: token returns to the leader.
-                meter.control_sent(outcome.last_at, leader, 1, outcome.wire);
+                let wire = tokens[gi].wire_size() as u64;
+                meter.control_sent(outcome.last_at, leader, 1, wire);
                 active[gi] = false;
                 round_max = round_max.max(outcome.group_work);
             }
@@ -485,26 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_matches_sequential_end_to_end() {
-        for seed in 0..10 {
-            let cfg = GeneratorConfig::new(6, 12)
-                .with_seed(seed)
-                .with_predicate_density(0.25);
-            let g = generate(&cfg);
-            let a = g.computation.annotate();
-            let wcp = Wcp::over_first(6);
-            for groups in [1usize, 2, 4] {
-                let seq = MultiTokenDetector::new(groups).detect(&a, &wcp);
-                let par = MultiTokenDetector::new(groups)
-                    .with_parallel()
-                    .detect(&a, &wcp);
-                assert_eq!(seq.detection, par.detection, "seed {seed} groups {groups}");
-                assert_eq!(seq.metrics, par.metrics, "seed {seed} groups {groups}");
-            }
-        }
-    }
-
-    #[test]
     fn more_groups_never_increase_critical_path_much() {
         // Statistical sanity: with a planted cut and dense predicates, the
         // 4-group critical path should beat the 1-group one on most seeds.
@@ -563,10 +430,15 @@ mod tests {
         let a = g.computation.annotate();
         let r = MultiTokenDetector::new(2).detect(&a, &Wcp::over_first(4));
         assert_eq!(r.detection, Detection::Undetected);
-        let rp = MultiTokenDetector::new(2)
-            .with_parallel()
-            .detect(&a, &Wcp::over_first(4));
-        assert_eq!(rp.detection, Detection::Undetected);
-        assert_eq!(r.metrics, rp.metrics);
+
+        // P0 is never true, P1 is: group 0 exhausts at once, and group 1 —
+        // still active that round — must not walk.
+        let mut b = wcp_trace::ComputationBuilder::new(2);
+        b.mark_true(wcp_clocks::ProcessId::new(1));
+        let computation = b.build().unwrap();
+        let r = MultiTokenDetector::new(2).detect(&computation.annotate(), &Wcp::over_first(2));
+        assert_eq!(r.detection, Detection::Undetected);
+        assert_eq!(r.metrics.total_work(), 0);
+        assert_eq!(r.metrics.parallel_time, 0);
     }
 }

@@ -395,7 +395,7 @@ mod tests {
     }
 }
 
-/// [`Detector`]-trait adapters over the online runners, so experiment code
+/// [`Detector`](crate::Detector)-trait adapters over the online runners, so experiment code
 /// can mix offline emulations and online simulations behind one interface.
 pub mod adapters {
     use wcp_trace::{AnnotatedComputation, Wcp};

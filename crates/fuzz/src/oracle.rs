@@ -220,7 +220,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
     // ---- offline detectors, with replay-lockstep metrics checks --------
     // `replay_exact` marks the families whose recorded event stream is a
     // lossless account of their metrics (the `tests/replay.rs` contract);
-    // the parallel multi-token variant is verdict-checked only.
+    // the sabotaged control records nothing and is verdict-checked only.
     struct Offline<'a> {
         label: &'static str,
         build: Box<dyn Fn(Arc<RingRecorder>) -> Box<dyn Detector> + 'a>,
@@ -260,17 +260,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> Vec<Divergence> {
             label: "multi-token",
             build: Box::new(move |r| Box::new(MultiTokenDetector::new(groups).with_recorder(r))),
             replay_exact: true,
-        },
-        Offline {
-            label: "multi-token+par",
-            build: Box::new(move |r| {
-                Box::new(
-                    MultiTokenDetector::new(groups)
-                        .with_parallel()
-                        .with_recorder(r),
-                )
-            }),
-            replay_exact: false,
         },
         Offline {
             label: "parallel",

@@ -2,15 +2,15 @@
 //! S22).
 //!
 //! Everything else in this workspace exchanges messages through the
-//! discrete-event simulator or an in-process threaded runtime; this crate
-//! closes the loop to actual I/O. It provides, bottom to top:
+//! deterministic discrete-event simulator; this crate closes the loop to
+//! actual I/O, with every peer on its own OS threads. It provides, bottom to top:
 //!
 //! - [`codec`] — a hand-rolled length-prefixed binary wire format for
 //!   every [`DetectMsg`](wcp_detect::online::DetectMsg), whose encoded
 //!   body size is exactly the message's
 //!   [`wire_size()`](wcp_sim::WireSize) — so the byte counts the paper's
 //!   analyses bound are the bytes actually on the wire;
-//! - [`transport`] — the [`Transport`](transport::Transport) trait with an
+//! - [`transport`] — the [`Transport`] trait with an
 //!   in-memory loopback and a TCP implementation over `std::net`;
 //! - [`fault`] — seeded deterministic injection of drops, delays,
 //!   duplicates, reorders and connection resets, recovered by

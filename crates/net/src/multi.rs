@@ -14,8 +14,8 @@
 //! The engine's canonical routed log makes every per-predicate verdict
 //! *and* its `DetectionMetrics` a pure function of the computation, so a
 //! socket run — loopback or TCP, clean or under a tolerated fault
-//! schedule — must be bit-identical to the simulator, the threaded
-//! runtime, and `k` standalone single-predicate runs. The equivalence
+//! schedule — must be bit-identical to the offline engine, the
+//! simulator, and `k` standalone single-predicate runs. The equivalence
 //! tests pin exactly that.
 
 use std::collections::HashMap;
@@ -85,7 +85,7 @@ impl Actor<DetectMsg> for CountedService {
 #[derive(Debug, Clone)]
 pub struct MultiNetReport {
     /// Per-predicate outcomes plus wire verdicts and engine counters —
-    /// the same shape the offline/sim/threaded runners report.
+    /// the same shape the offline and simulator runners report.
     pub report: MultiReport,
     /// Wire-level counters of the whole run (all peers combined),
     /// including the mirrored `multi_*` session counters.

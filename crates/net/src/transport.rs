@@ -46,8 +46,8 @@ pub trait Transport: Send {
         Ok(())
     }
 
-    /// Retransmits a frame during fault recovery. Defaults to [`send`]
-    /// (`Transport::send`); fault-injecting wrappers forward this straight
+    /// Retransmits a frame during fault recovery. Defaults to
+    /// [`send`](Transport::send); fault-injecting wrappers forward this straight
     /// to the inner transport so the recovery path itself is not faulted.
     fn resend(&mut self, frame: &[u8]) -> io::Result<()> {
         self.send(frame)

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wcp_detect::online::{run_direct, run_vc_token};
-use wcp_detect::{audit_bounds, BoundLimits, Detection};
+use wcp_detect::{audit_bounds, BoundLimits, Detection, Detector, TokenDetector};
 use wcp_net::{run_direct_net, run_vc_token_net, run_vc_token_net_recorded, NetConfig};
 use wcp_obs::{merge_streams, split_by_monitor, RingRecorder, StampedEvent};
 use wcp_sim::{FaultConfig, SimConfig};
@@ -88,6 +88,29 @@ fn loopback_matches_simulator_for_both_detectors() {
             "dd {seed}"
         );
     }
+}
+
+#[test]
+fn loopback_recording_stamps_wall_clock() {
+    // One wall-clock ring shared by every peer's threads: every event is
+    // stamped, and the stamps are monotone in `seq` order.
+    let cfg = GeneratorConfig::new(3, 6)
+        .with_seed(4)
+        .with_predicate_density(0.4)
+        .with_plant(0.8);
+    let g = generate(&cfg);
+    let wcp = Wcp::over_first(3);
+    let ring = Arc::new(RingRecorder::new(1 << 16).with_wall_clock());
+    let net = run_vc_token_net_recorded(&g.computation, &wcp, NetConfig::loopback(), ring.clone());
+    let offline = TokenDetector::new().detect(&g.computation.annotate(), &wcp);
+    assert_eq!(net.report.detection, offline.detection);
+    assert_eq!(ring.dropped(), 0, "ring overflowed, test is moot");
+    let events = ring.events();
+    assert!(!events.is_empty());
+    assert!(events.iter().all(|e| e.wall_nanos.is_some()));
+    assert!(events
+        .windows(2)
+        .all(|w| w[0].seq < w[1].seq && w[0].wall_nanos <= w[1].wall_nanos));
 }
 
 #[test]

@@ -101,6 +101,26 @@ fn loopback_multi_matches_offline_and_alone() {
     }
 }
 
+/// The session suite's workloads (2–5 processes, 5 or 6 predicates) over
+/// loopback, with the serial pump and with the 4-worker sharded pump.
+#[test]
+fn loopback_matches_offline_on_session_workloads() {
+    for seed in 0..8u64 {
+        let computation = workload(seed, 2 + (seed as usize % 4), 8);
+        let n = computation.process_count();
+        for (label, k, config) in [
+            ("serial", 5, NetConfig::loopback()),
+            ("pump4", 6, NetConfig::loopback().with_pump_threads(4)),
+        ] {
+            let predicates = derived_predicates(n, k);
+            let offline = run_multi_offline(&computation, &predicates);
+            let net = run_multi_net(&computation, &predicates, config);
+            let label = format!("{label} seed {seed}");
+            assert_multi_identical(&computation, &net.report, &offline, &label);
+        }
+    }
+}
+
 #[test]
 fn tcp_multi_matches_offline_and_alone() {
     for seed in 0..4u64 {

@@ -458,7 +458,9 @@ pub struct StampedEvent {
     pub monitor: u32,
     /// Logical time of the step.
     pub time: LogicalTime,
-    /// Wall-clock nanoseconds since recorder creation (threaded runs only).
+    /// Wall-clock nanoseconds since recorder creation (only from
+    /// [`RingRecorder::with_wall_clock`](crate::RingRecorder::with_wall_clock)
+    /// rings, which socket runs use).
     pub wall_nanos: Option<u64>,
     /// The event itself.
     pub event: TraceEvent,

@@ -10,7 +10,7 @@ use crate::event::{LogicalTime, StampedEvent, TraceEvent};
 ///
 /// Implementations take `&self` and must be thread-safe so one recorder can
 /// be shared (via `Arc`) by every monitor actor of a run, on either the
-/// deterministic simulator or the threaded runtime.
+/// deterministic simulator or the socket peers' threads.
 pub trait Recorder: Send + Sync {
     /// Records one event performed by `monitor` at logical time `time`.
     fn record(&self, monitor: u32, time: LogicalTime, event: TraceEvent);
@@ -71,7 +71,9 @@ impl RingRecorder {
     }
 
     /// Also stamps events with wall-clock nanoseconds since creation —
-    /// used by the threaded runtime, where logical ticks don't exist.
+    /// used by socket runs, where logical ticks don't exist. The stamp is
+    /// taken under the ring's lock, so stamps are monotone in `seq` order
+    /// even when several threads share one ring.
     pub fn with_wall_clock(mut self) -> Self {
         self.wall_clock = true;
         self
@@ -135,10 +137,10 @@ impl Recorder for TeeRecorder {
 
 impl Recorder for RingRecorder {
     fn record(&self, monitor: u32, time: LogicalTime, event: TraceEvent) {
+        let mut ring = self.ring.lock().unwrap();
         let wall_nanos = self
             .wall_clock
             .then(|| self.epoch.elapsed().as_nanos() as u64);
-        let mut ring = self.ring.lock().unwrap();
         let seq = ring.seq;
         ring.seq += 1;
         if ring.buf.len() == self.capacity {

@@ -25,7 +25,7 @@
 //! unchanged, so results are bit-identical to serial).
 //!
 //! Fan-out is *sharded*: subscriber lists are kept per process **and per
-//! pump shard** ([`PUMP_SHARDS`] fixed shards, session → shard via a
+//! pump shard** (`PUMP_SHARDS` fixed shards, session → shard via a
 //! multiply-shift hash of its id, like `Registry::shard`). A parallel
 //! worker owns every `threads`-th shard and iterates only its own lists —
 //! work scales with the deliveries a worker owns, never with the whole

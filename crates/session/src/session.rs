@@ -2,7 +2,7 @@
 //!
 //! This is the [`StreamingChecker`](wcp_detect::StreamingChecker)
 //! algorithm — the centralized checker's elimination loop, amortized
-//! `O(n)` per elimination — re-expressed over the [`SharedStore`]:
+//! `O(n)` per elimination — re-expressed over the [`SharedStore`](crate::SharedStore):
 //! instead of buffering scope-projected snapshot copies, a session keeps
 //! one `(head, tail)` cursor pair per scope position into the owning
 //! process's arena. The scope projection is never materialized: position

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: hermetic (offline) build, full workspace test run,
-# and formatting check. This is the command CI and every PR must keep
-# green; see ROADMAP.md.
+# fuzz smoke slices, warning-free rustdoc, and formatting check. This is
+# the command CI and every PR must keep green; see ROADMAP.md.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,6 +58,11 @@ if [ -z "$(ls tests/corpus/*.json 2>/dev/null)" ]; then
     exit 1
 fi
 cargo test --offline -q --test fuzz_corpus
+
+echo "== cargo doc (warnings are errors) =="
+# Broken, private or ambiguous intra-doc links fail tier-1, so docs that
+# name a removed or renamed item cannot go stale silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

@@ -8,13 +8,15 @@
 //! - [`trace`] — the computation model, workload generators, the
 //!   global-state lattice,
 //! - [`sim`] — the deterministic discrete-event message-passing simulator,
-//! - [`runtime`] — the threaded actor runtime,
 //! - [`detect`] — the detection algorithms themselves (the paper's
 //!   contribution) and the Section 5 lower-bound adversary,
+//! - [`record`] — live trace recording: run plain-actor applications and
+//!   obtain their `Computation`,
 //! - [`obs`] — observability: trace recorders, histograms, run reports,
 //!   and the dependency-free JSON and RNG utilities the workspace shares,
 //! - [`net`] — real socket transport: wire codec, TCP/loopback links,
-//!   deterministic fault injection, and socket-connected detection peers,
+//!   deterministic fault injection, and socket-connected detection peers
+//!   (loopback runs every peer on its own OS threads),
 //! - [`session`] — the multi-tenant session layer: a predicate registry,
 //!   shared arena-backed snapshot store, and router serving thousands of
 //!   concurrent predicates over one event stream,
@@ -51,7 +53,6 @@ pub use wcp_fuzz as fuzz;
 pub use wcp_net as net;
 pub use wcp_obs as obs;
 pub use wcp_record as record;
-pub use wcp_runtime as runtime;
 pub use wcp_session as session;
 pub use wcp_sim as sim;
 pub use wcp_trace as trace;

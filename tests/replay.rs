@@ -90,11 +90,16 @@ fn direct_detector_replays_exactly() {
 
 #[test]
 fn multi_token_detector_replays_exactly() {
-    for cfg in cases(64, 16) {
+    // One extra input: a never-true trace, on which group 0 exhausts its
+    // queue in the first round while every later group is still active.
+    let never_true = GeneratorConfig::new(4, 8)
+        .with_seed(2)
+        .with_predicate_density(0.0);
+    for cfg in cases(64, 16).into_iter().chain([never_true]) {
         let g = generate(&cfg);
         let a = g.computation.annotate();
         let wcp = Wcp::over_all(&g.computation);
-        for groups in [1usize, 2, 3] {
+        for groups in 1..=wcp.n() {
             let report = assert_replay_exact(&format!("multi:{groups} {cfg:?}"), |ring| {
                 MultiTokenDetector::new(groups)
                     .with_recorder(ring)

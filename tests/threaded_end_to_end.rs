@@ -1,11 +1,24 @@
 //! End-to-end runs on real OS threads: the full stack (application actors,
-//! monitors, token/poll protocols) with genuine concurrency, repeated to
-//! shake out races, checked against the offline emulation.
+//! monitors, token/poll protocols) over `wcp-net` loopback sockets, one
+//! peer per process, with genuine concurrency — repeated to shake out
+//! races and checked against the offline emulation.
 
-use wcp::detect::online::{run_direct_threaded, run_vc_token_threaded};
-use wcp::detect::{Detector, DirectDependenceDetector, TokenDetector};
+use wcp::detect::{Detection, Detector, DirectDependenceDetector, TokenDetector};
+use wcp::net::{run_direct_net, run_vc_token_net, NetConfig};
 use wcp::trace::generate::{generate, GeneratorConfig, Topology};
-use wcp::trace::Wcp;
+use wcp::trace::{Computation, Wcp};
+
+fn vc_token(computation: &Computation, wcp: &Wcp) -> Detection {
+    run_vc_token_net(computation, wcp, NetConfig::loopback())
+        .report
+        .detection
+}
+
+fn direct(computation: &Computation, wcp: &Wcp, parallel: bool) -> Detection {
+    run_direct_net(computation, wcp, parallel, NetConfig::loopback())
+        .report
+        .detection
+}
 
 #[test]
 fn threaded_vc_token_stable_across_repetitions() {
@@ -19,7 +32,7 @@ fn threaded_vc_token_stable_across_repetitions() {
         .detect(&g.computation.annotate(), &wcp)
         .detection;
     for round in 0..20 {
-        let got = run_vc_token_threaded(&g.computation, &wcp);
+        let got = vc_token(&g.computation, &wcp);
         assert_eq!(got, expected, "round {round}");
     }
 }
@@ -36,7 +49,7 @@ fn threaded_direct_stable_across_repetitions() {
         .detection;
     for round in 0..20 {
         for parallel in [false, true] {
-            let got = run_direct_threaded(&g.computation, &wcp, parallel);
+            let got = direct(&g.computation, &wcp, parallel);
             assert_eq!(got, expected, "round {round} parallel {parallel}");
         }
     }
@@ -66,12 +79,12 @@ fn threaded_runs_across_topologies_and_seeds() {
                 .detect(&annotated, &wcp)
                 .detection;
             assert_eq!(
-                run_vc_token_threaded(&g.computation, &wcp),
+                vc_token(&g.computation, &wcp),
                 vc_expected,
                 "vc {topology:?} seed {seed}"
             );
             assert_eq!(
-                run_direct_threaded(&g.computation, &wcp, true),
+                direct(&g.computation, &wcp, true),
                 dd_expected,
                 "dd {topology:?} seed {seed}"
             );
@@ -88,7 +101,7 @@ fn threaded_undetected_terminates() {
         .with_predicate_density(0.0);
     let g = generate(&cfg);
     let wcp = Wcp::over_first(4);
-    assert!(!run_vc_token_threaded(&g.computation, &wcp).is_detected());
-    assert!(!run_direct_threaded(&g.computation, &wcp, false).is_detected());
-    assert!(!run_direct_threaded(&g.computation, &wcp, true).is_detected());
+    assert!(!vc_token(&g.computation, &wcp).is_detected());
+    assert!(!direct(&g.computation, &wcp, false).is_detected());
+    assert!(!direct(&g.computation, &wcp, true).is_detected());
 }
