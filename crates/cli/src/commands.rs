@@ -223,15 +223,20 @@ fn describe(report: &DetectionReport, json: bool) -> Result<String, CliError> {
     if json {
         return Ok(report.to_json().pretty());
     }
-    let mut out = String::new();
-    match &report.detection {
-        Detection::Detected { cut } => out.push_str(&format!("DETECTED at cut {cut}\n")),
+    Ok(format!(
+        "{}cost: {}\n",
+        verdict_line(&report.detection),
+        report.metrics
+    ))
+}
+
+fn verdict_line(detection: &Detection) -> String {
+    match detection {
+        Detection::Detected { cut } => format!("DETECTED at cut {cut}\n"),
         Detection::Undetected => {
-            out.push_str("UNDETECTED: the predicate never held on a consistent cut\n")
+            "UNDETECTED: the predicate never held on a consistent cut\n".to_string()
         }
     }
-    out.push_str(&format!("cost: {}\n", report.metrics));
-    Ok(out)
 }
 
 /// `wcp detect` — run a WCP detector on a trace file.
@@ -621,16 +626,24 @@ pub fn net_demo(raw: &[String]) -> Result<String, CliError> {
             faults.drop, faults.delay, faults.duplicate, faults.reorder, faults.reset, faults.seed
         ));
     }
-    out.push_str(&describe(&net.report, args.switch("json"))?);
-    out.push_str(&format!("wire: {}\n", net.net));
-    if net.report.detection == sim.detection {
-        out.push_str("simulator cross-check: identical verdict\n");
-    } else {
+    if net.report.detection != sim.detection {
         return Err(CliError::runtime(format!(
             "net verdict {:?} disagrees with simulator verdict {:?}",
             net.report.detection, sim.detection
         )));
     }
+    out.push_str(&verdict_line(&net.report.detection));
+    out.push_str("simulator cross-check: identical verdict\n");
+    // Peers stop at the verdict, and how many snapshots and frames were
+    // sent before then depends on thread timing: the cost line and every
+    // wire counter go under the header.
+    out.push_str(&format!("{SCHEDULING_DEPENDENT}\n"));
+    if args.switch("json") {
+        out.push_str(&describe(&net.report, true)?);
+    } else {
+        out.push_str(&format!("cost: {}\n", net.report.metrics));
+    }
+    out.push_str(&format!("wire: {}\n", net.net));
     Ok(out)
 }
 
@@ -744,35 +757,37 @@ pub fn multi_demo(raw: &[String]) -> Result<String, CliError> {
 const SCHEDULING_DEPENDENT: &str = "== scheduling-dependent (thread timing; varies run to run) ==";
 
 /// The wire counters of a multi-tenant run that the input alone
-/// determines: frames and bytes each way, the wire-v2 clock chains and
-/// the session-layer mirrors.
+/// determines: frames sent, their v1-equivalent size, and the
+/// session-layer mirrors.
 fn wire_counts(net: &NetStats) -> String {
     format!(
-        "{} frames / {} B sent, {} frames / {} B received, \
-         {} B v1-equiv ({} keyframes / {} deltas), \
+        "{} frames sent ({} B v1-equiv), \
          multi {} sessions / {} routed / {} detections",
         net.frames_sent,
-        net.bytes_sent,
-        net.frames_received,
-        net.bytes_received,
         net.wire_bytes_v1_equiv,
-        net.keyframes_sent,
-        net.delta_frames_sent,
         net.multi_sessions_active,
         net.multi_routed_events,
         net.multi_detections
     )
 }
 
-/// The wire counters that depend on thread timing: how frames were
-/// coalesced into writes, ready-queue depth, buffer recycling (split and
-/// total both move with the flush count), and the timer-driven recovery,
-/// ack and telemetry traffic.
+/// The wire counters that depend on thread timing: frames received (the
+/// application tail races the shutdown broadcast), actual bytes and the
+/// wire-v2 keyframe/delta split (both vary between TCP runs of one
+/// input), how frames were coalesced into writes, ready-queue depth,
+/// buffer recycling (split and total both move with the flush count), and
+/// the timer-driven recovery, ack and telemetry traffic.
 fn wire_timing(net: &NetStats) -> String {
     format!(
-        "{} flushes (max {} B), ready depth ≤ {}, pool {} allocs / {} reuses, \
+        "{} frames / {} B received, {} B sent ({} keyframes / {} deltas), \
+         {} flushes (max {} B), ready depth ≤ {}, pool {} allocs / {} reuses, \
          {} retransmits, {} reconnects, {} dups dropped, {} reordered, \
          {} acks out / {} in, telemetry {} out / {} in ({} B)",
+        net.frames_received,
+        net.bytes_received,
+        net.bytes_sent,
+        net.keyframes_sent,
+        net.delta_frames_sent,
         net.batch_flushes,
         net.max_batch_bytes,
         net.max_ready_depth,
@@ -861,13 +876,10 @@ pub fn serve(raw: &[String]) -> Result<String, CliError> {
         wcp.n(),
         addrs[peer]
     );
-    match &report.detection {
-        Detection::Detected { cut } => out.push_str(&format!("DETECTED at cut {cut}\n")),
-        Detection::Undetected => {
-            out.push_str("UNDETECTED: the predicate never held on a consistent cut\n")
-        }
-    }
-    out.push_str(&format!("wire: {}\n", report.net));
+    out.push_str(&verdict_line(&report.detection));
+    // As in `net_demo`: peers stop at the verdict, so every wire counter
+    // depends on thread timing.
+    out.push_str(&format!("{SCHEDULING_DEPENDENT}\nwire: {}\n", report.net));
     if let Some(collector) = telemetry {
         out.push_str(&format!(
             "telemetry: {} events from {} sources ({} malformed deltas)\n",
@@ -930,7 +942,11 @@ fn serve_multi(args: &Args) -> Result<String, CliError> {
             report.verdicts.len()
         ));
     }
-    out.push_str(&format!("wire: {}\n", report.net));
+    out.push_str(&format!("wire: {}\n", wire_counts(&report.net)));
+    out.push_str(&format!(
+        "{SCHEDULING_DEPENDENT}\nwire timing: {}\n",
+        wire_timing(&report.net)
+    ));
     Ok(out)
 }
 
@@ -1541,6 +1557,18 @@ mod tests {
                     "{transport}/{algorithm}: {out}"
                 );
                 assert!(out.contains("wire:"), "{out}");
+                // Thread timing moves only the counters under the header.
+                let (head, tail) = out.split_once(SCHEDULING_DEPENDENT).expect("header");
+                assert!(tail.contains("flushes") && !head.contains("flushes"));
+                let again = net_demo(&argv(&[
+                    &path,
+                    "--transport",
+                    transport,
+                    "--algorithm",
+                    algorithm,
+                ]))
+                .unwrap();
+                assert_eq!(deterministic_part(&again), head, "{transport}/{algorithm}");
             }
         }
     }

@@ -17,8 +17,8 @@
 //! - [`Cut`] — a global cut: one interval index per process, with `0`
 //!   denoting "no state selected yet" exactly as in the paper's `G` vector,
 //! - [`scoped_workers`] and [`strided`] ([`par`]) — the deterministic
-//!   scoped worker-pool / strided-partition recipe shared by every parallel
-//!   path built on this substrate.
+//!   scoped worker-pool / strided-partition recipe shared by the one-shot
+//!   parallel paths built on this substrate.
 //!
 //! # Example
 //!

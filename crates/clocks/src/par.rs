@@ -1,13 +1,16 @@
 //! Scoped worker-pool and work-partitioning helpers.
 //!
-//! Every parallel path in the workspace follows the same recipe: spawn `t`
-//! scoped workers, give worker `w` the strided slice `w, w + t, w + 2t, …`
-//! of some index space, and join the workers **in worker order** so the
-//! fold over their results is deterministic. This module is that recipe in
-//! one place — the snapshot-queue build, the session pump shards, and the
-//! work-optimal parallel detector all partition through it, so the
-//! bit-identity argument ("worker assignment cannot change the merged
-//! result") is made once.
+//! The one-shot parallel paths in the workspace follow the same recipe:
+//! spawn `t` scoped workers, give worker `w` the strided slice
+//! `w, w + t, w + 2t, …` of some index space, and join the workers **in
+//! worker order** so the fold over their results is deterministic. This
+//! module is that recipe in one place — the snapshot-queue build and the
+//! session pump shards partition through it, so the bit-identity argument
+//! ("worker assignment cannot change the merged result") is made once.
+//!
+//! The work-optimal parallel detector does not use it: its rounds reuse
+//! one set of workers for the whole detection, each owning a contiguous
+//! block of scope positions (see `wcp_detect::ParallelDetector`).
 
 /// Runs `work(w)` for `w ∈ 0..threads` on scoped threads and returns the
 /// results **indexed by worker** (`out[w] == work(w)`), so folding the

@@ -120,6 +120,11 @@ impl VcSnapshotQueues {
     /// concatenates the per-process arenas in scope order — so the result
     /// is bit-identical to [`build`](Self::build) regardless of thread
     /// scheduling.
+    ///
+    /// No detector calls it: spawning a thread per process costs far more
+    /// than the serial copy it splits (1.7 ms against 13 µs at `n = 32` on
+    /// a 2-vCPU host), so [`ParallelDetector`](crate::ParallelDetector)
+    /// builds with [`build`](Self::build) at every thread count.
     pub fn build_parallel(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Self {
         let scope = wcp.scope();
         let n = scope.len();

@@ -81,7 +81,7 @@ fn never_true_predicates_are_undetected() {
 #[test]
 fn single_hot_process_worst_case_skew() {
     // One position holds almost every candidate, the rest are nearly dry:
-    // the worst case for strided sweep balancing. A server-centred
+    // the worst case for balancing sweeps across blocks. A server-centred
     // topology concentrates the causality (and eliminations) there too.
     let mut b = ComputationBuilder::new(4);
     for _ in 0..60 {

@@ -49,7 +49,8 @@ const NET_DEADLINE: Duration = Duration::from_secs(20);
 const PUMP_PARALLEL_WORKERS: usize = 4;
 
 /// Worker count of the work-optimal detector's multi-thread cross-check
-/// leg — several strided shares per round without per-case thread spam.
+/// leg — several blocks of scope positions, uneven ones included, without
+/// per-case thread spam.
 const PARALLEL_DETECT_WORKERS: usize = 4;
 
 /// How a detector deviated from the oracle.
