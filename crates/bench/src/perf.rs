@@ -83,7 +83,8 @@ pub fn detectors(scope_n: usize) -> Vec<(String, Box<dyn Detector>)> {
 }
 
 /// Measures the vector-clock snapshot substrate on one workload: how long
-/// one queue build takes and how many clock heap allocations it performs.
+/// one clock annotation (`Computation::annotate`) and one queue build
+/// take, and how many clock heap allocations the build performs.
 ///
 /// The arena path packs every snapshot clock into one flat buffer, so
 /// `clock_allocations` is 1 regardless of snapshot count (0 when empty).
@@ -95,6 +96,9 @@ fn substrate_stats(
     let queues = VcSnapshotQueues::build(annotated, wcp);
     let snapshots = queues.total_snapshots() as u64;
     let clock_allocations = queues.clock_allocations();
+    let annotate = timing::run("substrate/annotate", samples, || {
+        std::hint::black_box(annotated.computation().annotate());
+    });
     let build = timing::run("substrate/build", samples, || {
         std::hint::black_box(VcSnapshotQueues::build(annotated, wcp));
     });
@@ -110,6 +114,8 @@ fn substrate_stats(
                 clock_allocations as f64 / snapshots as f64
             }),
         ),
+        ("annotate_median_ns", Json::UInt(annotate.median_ns)),
+        ("annotate_min_ns", Json::UInt(annotate.min_ns)),
         ("build_median_ns", Json::UInt(build.median_ns)),
         ("build_min_ns", Json::UInt(build.min_ns)),
     ])
@@ -810,6 +816,7 @@ mod tests {
         }
         let substrate = w.get("substrate").unwrap();
         assert!(substrate.get("snapshots").unwrap().as_u64().unwrap() > 0);
+        assert!(substrate.get("annotate_min_ns").unwrap().as_u64().is_some());
         // The document round-trips through the in-tree serializer.
         let text = w.pretty();
         assert_eq!(Json::parse(&text).unwrap(), w);

@@ -61,7 +61,7 @@ pub fn vc_snapshot_queues(annotated: &AnnotatedComputation<'_>, wcp: &Wcp) -> Ve
                 .iter()
                 .map(|&k| {
                     let full = annotated.clock(StateId::new(p, k));
-                    let clock: VectorClock = scope.iter().map(|&q| full[q]).collect();
+                    let clock: VectorClock = scope.iter().map(|&q| full[q.index()]).collect();
                     VcSnapshot { interval: k, clock }
                 })
                 .collect()
@@ -104,7 +104,7 @@ impl VcSnapshotQueues {
                 let full = annotated.clock(StateId::new(p, k));
                 let row = arena.push_zeroed();
                 for (slot, &q) in row.iter_mut().zip(scope) {
-                    *slot = full[q];
+                    *slot = full[q.index()];
                 }
             }
             lens.push(arena.len() - starts.last().unwrap());
@@ -138,7 +138,7 @@ impl VcSnapshotQueues {
                 let full = annotated.clock(StateId::new(p, k));
                 let row = arena.push_zeroed();
                 for (slot, &q) in row.iter_mut().zip(scope) {
-                    *slot = full[q];
+                    *slot = full[q.index()];
                 }
             }
             arena

@@ -1,11 +1,8 @@
 //! Clock annotation and happened-before queries over a computation.
 
-use std::collections::HashMap;
-
-use wcp_clocks::{Cut, Dependence, ProcessId, StateId, VectorClock};
+use wcp_clocks::{ClockRow, Cut, Dependence, ProcessId, StateId};
 
 use crate::computation::Computation;
-use crate::event::Event;
 use crate::predicate::Wcp;
 
 /// A [`Computation`] enriched with per-interval vector clocks and direct
@@ -20,6 +17,10 @@ use crate::predicate::Wcp;
 /// - the direct dependence recorded when the interval began (i.e. from the
 ///   receive event that started it), if any — Section 4.1's dependence list
 ///   is the union of these over the intervals since the last snapshot.
+///
+/// Every clock lives in one flat table, one `N`-wide row per interval, so
+/// [`clock`](Self::clock) returns a [`ClockRow`] view of a row rather than
+/// an owned [`VectorClock`](wcp_clocks::VectorClock).
 ///
 /// All happened-before queries, consistency checks, and the reference
 /// ("ground truth") first-cut computations live here.
@@ -44,10 +45,17 @@ use crate::predicate::Wcp;
 #[derive(Debug, Clone)]
 pub struct AnnotatedComputation<'a> {
     computation: &'a Computation,
-    /// `clocks[i][k-1]` = vector clock of interval `(i, k)`.
-    clocks: Vec<Vec<VectorClock>>,
-    /// `deps[i][k-1]` = dependence recorded when interval `(i, k)` began.
-    deps: Vec<Vec<Option<Dependence>>>,
+    /// Row width `N`.
+    width: usize,
+    /// Every interval clock, `N` components per row, rows in replay order.
+    clocks: Vec<u64>,
+    /// `starts[i]` = flat index of interval `(i, 1)`; `starts[N]` = total.
+    starts: Vec<usize>,
+    /// `rows[starts[i] + k - 1]` = offset in `clocks` of interval `(i, k)`.
+    rows: Vec<usize>,
+    /// `deps[starts[i] + k - 1]` = dependence recorded when interval
+    /// `(i, k)` began.
+    deps: Vec<Option<Dependence>>,
     /// Sorted pred-true interval indices per process.
     true_intervals: Vec<Vec<u64>>,
 }
@@ -55,63 +63,55 @@ pub struct AnnotatedComputation<'a> {
 impl<'a> AnnotatedComputation<'a> {
     /// Replays `computation` and records clocks and dependences.
     ///
+    /// One pass validates the computation and appends each interval's
+    /// clock to one flat table as its first event is replayed: a send
+    /// copies the previous row, a receive takes the componentwise maximum
+    /// of the previous row and the sender's row (already in the table),
+    /// and both then tick the own component.
+    ///
     /// # Panics
     ///
     /// Panics if the computation is invalid (see
     /// [`Computation::validate`]); validate untrusted input first.
     pub fn new(computation: &'a Computation) -> Self {
-        computation
-            .validate()
-            .expect("cannot annotate an invalid computation");
         let n = computation.process_count();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for trace in computation.traces() {
+            starts.push(starts[starts.len() - 1] + trace.events.len() + 1);
+        }
+        let intervals = starts[n];
+        let words = intervals
+            .checked_mul(n)
+            .expect("clock table size overflows usize");
 
-        let mut clocks: Vec<Vec<VectorClock>> = Vec::with_capacity(n);
-        let mut deps: Vec<Vec<Option<Dependence>>> = Vec::with_capacity(n);
+        // Rows 0..N are the first intervals: own component 1, others 0.
+        let mut clocks = Vec::with_capacity(words);
+        let mut rows = vec![0usize; intervals];
+        let mut deps = vec![None; intervals];
         for i in 0..n {
-            let mut first = VectorClock::new(n);
-            first.init_process(ProcessId::new(i as u32));
-            clocks.push(vec![first]);
-            deps.push(vec![None]);
+            rows[starts[i]] = clocks.len();
+            clocks.resize(clocks.len() + n, 0);
+            clocks[i * n + i] = 1;
         }
 
-        // Greedy replay (same schedule as validate, which already proved it
-        // completes). `pending` holds the clock attached to each sent,
-        // not-yet-received message.
-        let mut next = vec![0usize; n];
-        let mut pending: HashMap<crate::MsgId, VectorClock> = HashMap::new();
-        let total = computation.total_events();
-        let mut done = 0usize;
-        while done < total {
-            let mut progressed = false;
-            for (i, trace) in computation.traces().iter().enumerate() {
-                while next[i] < trace.events.len() {
-                    let cur = clocks[i].last().expect("at least one interval").clone();
-                    match trace.events[next[i]] {
-                        Event::Send { msg, .. } => {
-                            pending.insert(msg, cur.clone());
-                            let mut advanced = cur;
-                            advanced.tick(ProcessId::new(i as u32));
-                            clocks[i].push(advanced);
-                            deps[i].push(None);
-                        }
-                        Event::Receive { from, msg } => {
-                            let Some(tag) = pending.get(&msg) else {
-                                break; // not yet sent; try another process
-                            };
-                            let sender_interval = tag[from];
-                            let mut advanced = cur.join(tag);
-                            advanced.tick(ProcessId::new(i as u32));
-                            clocks[i].push(advanced);
-                            deps[i].push(Some(Dependence::new(from, sender_interval)));
-                        }
+        computation
+            .replay(|i, j, send| {
+                let start = clocks.len();
+                let own = rows[starts[i] + j];
+                clocks.extend_from_within(own..own + n);
+                if let Some((from, at)) = send {
+                    let sender = rows[starts[from.index()] + at];
+                    let (done, new) = clocks.split_at_mut(start);
+                    for (c, &m) in new.iter_mut().zip(&done[sender..sender + n]) {
+                        *c = (*c).max(m);
                     }
-                    next[i] += 1;
-                    done += 1;
-                    progressed = true;
+                    deps[starts[i] + j + 1] = Some(Dependence::new(from, at as u64 + 1));
                 }
-            }
-            assert!(progressed, "validated computation failed to replay");
-        }
+                clocks[start + i] += 1;
+                rows[starts[i] + j + 1] = start;
+            })
+            .expect("cannot annotate an invalid computation");
 
         let true_intervals = computation
             .traces()
@@ -127,10 +127,25 @@ impl<'a> AnnotatedComputation<'a> {
 
         AnnotatedComputation {
             computation,
+            width: n,
             clocks,
+            starts,
+            rows,
             deps,
             true_intervals,
         }
+    }
+
+    /// Flat interval index of state `s` (into `rows` and `deps`).
+    fn interval(&self, s: StateId) -> usize {
+        assert!(s.index >= 1, "interval indices are 1-based");
+        let p = s.process.index();
+        let first = self.starts[p];
+        assert!(
+            s.index <= (self.starts[p + 1] - first) as u64,
+            "state {s} out of range"
+        );
+        first + (s.index - 1) as usize
     }
 
     /// The underlying computation.
@@ -140,29 +155,29 @@ impl<'a> AnnotatedComputation<'a> {
 
     /// Number of processes (`N`).
     pub fn process_count(&self) -> usize {
-        self.computation.process_count()
+        self.width
     }
 
     /// Number of intervals of process `p`.
     pub fn interval_count(&self, p: ProcessId) -> u64 {
-        self.clocks[p.index()].len() as u64
+        (self.starts[p.index() + 1] - self.starts[p.index()]) as u64
     }
 
-    /// Vector clock of state `s` (width `N`).
+    /// Vector clock of state `s` (width `N`), as a view of its row in the
+    /// flat clock table; [`ClockRow::to_vector_clock`] copies it out.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range or has index `0`.
-    pub fn clock(&self, s: StateId) -> &VectorClock {
-        assert!(s.index >= 1, "interval indices are 1-based");
-        &self.clocks[s.process.index()][(s.index - 1) as usize]
+    pub fn clock(&self, s: StateId) -> ClockRow<'_> {
+        let start = self.rows[self.interval(s)];
+        ClockRow::new(&self.clocks[start..start + self.width])
     }
 
     /// The direct dependence recorded when interval `s` began (`None` for
     /// first intervals and intervals started by a send).
     pub fn dependence_at(&self, s: StateId) -> Option<Dependence> {
-        assert!(s.index >= 1, "interval indices are 1-based");
-        self.deps[s.process.index()][(s.index - 1) as usize]
+        self.deps[self.interval(s)]
     }
 
     /// The dependences a Section 4.1 snapshot at state `s` would carry if
@@ -183,7 +198,7 @@ impl<'a> AnnotatedComputation<'a> {
         if a.process == b.process {
             return a.index < b.index;
         }
-        self.clock(b)[a.process] >= a.index
+        self.clock(b)[a.process.index()] >= a.index
     }
 
     /// `a ‖ b`: neither happened before the other.
@@ -286,11 +301,16 @@ impl<'a> AnnotatedComputation<'a> {
     /// extension exists.
     pub fn least_consistent_extension(&self, states: &[StateId]) -> Option<Cut> {
         let procs: Vec<ProcessId> = ProcessId::all(self.process_count()).collect();
-        let fixed: HashMap<ProcessId, u64> = states.iter().map(|s| (s.process, s.index)).collect();
+        let mut fixed = vec![None; procs.len()];
+        for s in states {
+            if let Some(slot) = fixed.get_mut(s.process.index()) {
+                *slot = Some(s.index);
+            }
+        }
         let candidates: Vec<Vec<u64>> = procs
             .iter()
-            .map(|&p| match fixed.get(&p) {
-                Some(&k) => vec![k],
+            .map(|&p| match fixed[p.index()] {
+                Some(k) => vec![k],
                 None => (1..=self.interval_count(p)).collect(),
             })
             .collect();
@@ -302,7 +322,7 @@ impl<'a> AnnotatedComputation<'a> {
     /// until the cut is pairwise concurrent or some list is exhausted.
     fn advancing_cut(&self, procs: &[ProcessId], candidates: &[Vec<u64>]) -> Option<Cut> {
         let mut pos = vec![0usize; procs.len()];
-        for (i, c) in candidates.iter().enumerate() {
+        for c in candidates {
             if c.is_empty() {
                 return None;
             }
@@ -310,7 +330,6 @@ impl<'a> AnnotatedComputation<'a> {
                 c.windows(2).all(|w| w[0] < w[1]),
                 "candidates must be sorted"
             );
-            let _ = i;
         }
         loop {
             let mut advanced = false;

@@ -1,6 +1,5 @@
 //! The computation model and its structural validation.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use wcp_clocks::{Cut, ProcessId, StateId};
@@ -328,14 +327,74 @@ impl Computation {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: predicate-flag length mismatches,
-    /// out-of-range or self-directed messages, duplicate or orphaned message
-    /// identifiers, endpoint mismatches between a send and its receive, or
-    /// event sequences that admit no valid interleaving.
+    /// Returns the first problem found, checking in this order:
+    /// predicate-flag length mismatches and out-of-range or self-directed
+    /// messages (in process order), duplicate sends, duplicate receives,
+    /// orphaned receives and endpoint mismatches between a send and its
+    /// receive (each naming the smallest offending [`MsgId`]), and finally
+    /// event sequences that admit no valid interleaving. The same input
+    /// always yields the same error.
     pub fn validate(&self) -> Result<(), ComputationError> {
-        let n = self.processes.len();
+        self.replay(|_, _, _| {})
+    }
 
-        // Per-process shape and peer ranges.
+    /// Validates the computation and replays it in one greedy schedule.
+    ///
+    /// `visit(i, j, send)` is called for event `j` of process `i` as it is
+    /// scheduled; `send` is `None` for a send and `Some((from, j'))` for a
+    /// receive whose message is event `j'` of process `from`. A receive is
+    /// scheduled only after its send, so every prefix of the calls is a
+    /// consistent execution.
+    pub(crate) fn replay(
+        &self,
+        mut visit: impl FnMut(usize, usize, Option<(ProcessId, usize)>),
+    ) -> Result<(), ComputationError> {
+        self.check_shape()?;
+        let sent_at = self.match_messages()?;
+
+        // Sends are always enabled; a receive is enabled once its sender
+        // has executed the send. Since enabling is monotone, the greedy
+        // schedule succeeds iff some schedule does.
+        let mut next = vec![0usize; self.processes.len()];
+        let total = sent_at.len();
+        let mut done = 0usize;
+        loop {
+            let mut progressed = false;
+            let mut base = 0;
+            for (i, trace) in self.processes.iter().enumerate() {
+                while let Some(ev) = trace.events.get(next[i]) {
+                    let j = next[i];
+                    let send = match *ev {
+                        Event::Send { .. } => None,
+                        Event::Receive { from, .. } => {
+                            let at = sent_at[base + j];
+                            if next[from.index()] <= at {
+                                break;
+                            }
+                            Some((from, at))
+                        }
+                    };
+                    visit(i, j, send);
+                    next[i] += 1;
+                    done += 1;
+                    progressed = true;
+                }
+                base += trace.events.len();
+            }
+            if done == total {
+                return Ok(());
+            }
+            if !progressed {
+                return Err(ComputationError::CausalCycle {
+                    stuck_events: total - done,
+                });
+            }
+        }
+    }
+
+    /// Per-process predicate-flag lengths, peer ranges and self-messages.
+    fn check_shape(&self) -> Result<(), ComputationError> {
+        let n = self.processes.len();
         for (p, trace) in self.iter() {
             if trace.pred.len() != trace.events.len() + 1 {
                 return Err(ComputationError::PredLengthMismatch {
@@ -356,77 +415,80 @@ impl Computation {
                 }
             }
         }
+        Ok(())
+    }
 
-        // Message matching.
-        let mut sends: HashMap<MsgId, (ProcessId, ProcessId)> = HashMap::new();
-        let mut receives: HashMap<MsgId, (ProcessId, ProcessId)> = HashMap::new();
+    /// Matches every receive to its send by sorting both sides by
+    /// [`MsgId`] and merge-joining them, so duplicates sit next to each
+    /// other and each error names the smallest offending identifier.
+    ///
+    /// Returns, for every event in process-major order, the index of the
+    /// matching send event in the sender's trace (meaningful for receives
+    /// only).
+    fn match_messages(&self) -> Result<Vec<usize>, ComputationError> {
+        let mut sends = Vec::new();
+        let mut receives = Vec::new();
+        let mut flat = 0usize;
         for (p, trace) in self.iter() {
-            for ev in &trace.events {
+            for (j, ev) in trace.events.iter().enumerate() {
                 match *ev {
-                    Event::Send { to, msg } => {
-                        if sends.insert(msg, (p, to)).is_some() {
-                            return Err(ComputationError::DuplicateSend(msg));
-                        }
-                    }
-                    Event::Receive { from, msg } => {
-                        if receives.insert(msg, (from, p)).is_some() {
-                            return Err(ComputationError::DuplicateReceive(msg));
-                        }
-                    }
+                    Event::Send { to, msg } => sends.push(Endpoint {
+                        msg,
+                        process: p,
+                        peer: to,
+                        at: j,
+                    }),
+                    Event::Receive { from, msg } => receives.push(Endpoint {
+                        msg,
+                        process: p,
+                        peer: from,
+                        at: flat + j,
+                    }),
                 }
             }
+            flat += trace.events.len();
         }
-        for (&msg, &(claimed_from, receiver)) in &receives {
-            match sends.get(&msg) {
-                None => return Err(ComputationError::ReceiveWithoutSend(msg)),
-                Some(&(sender, dest)) => {
-                    if sender != claimed_from || dest != receiver {
-                        return Err(ComputationError::MismatchedEndpoints {
-                            msg,
-                            send: (sender, dest),
-                            receive: (claimed_from, receiver),
-                        });
-                    }
-                }
-            }
+        sends.sort_unstable_by_key(|e| e.msg);
+        receives.sort_unstable_by_key(|e| e.msg);
+        if let Some(w) = sends.windows(2).find(|w| w[0].msg == w[1].msg) {
+            return Err(ComputationError::DuplicateSend(w[0].msg));
+        }
+        if let Some(w) = receives.windows(2).find(|w| w[0].msg == w[1].msg) {
+            return Err(ComputationError::DuplicateReceive(w[0].msg));
         }
 
-        // Realizability: greedy replay. Sends are always enabled; a receive
-        // is enabled once its message has been sent. Since enabling is
-        // monotone, the greedy schedule succeeds iff some schedule does.
-        let mut next = vec![0usize; n];
-        let mut sent: std::collections::HashSet<MsgId> = std::collections::HashSet::new();
-        let total = self.total_events();
-        let mut done = 0usize;
-        loop {
-            let mut progressed = false;
-            for (i, trace) in self.processes.iter().enumerate() {
-                while next[i] < trace.events.len() {
-                    match trace.events[next[i]] {
-                        Event::Send { msg, .. } => {
-                            sent.insert(msg);
-                        }
-                        Event::Receive { msg, .. } => {
-                            if !sent.contains(&msg) {
-                                break;
-                            }
-                        }
-                    }
-                    next[i] += 1;
-                    done += 1;
-                    progressed = true;
-                }
+        let mut sent_at = vec![0usize; flat];
+        let mut s = 0;
+        for recv in &receives {
+            while sends.get(s).is_some_and(|e| e.msg < recv.msg) {
+                s += 1;
             }
-            if done == total {
-                return Ok(());
-            }
-            if !progressed {
-                return Err(ComputationError::CausalCycle {
-                    stuck_events: total - done,
+            let send = match sends.get(s) {
+                Some(e) if e.msg == recv.msg => e,
+                _ => return Err(ComputationError::ReceiveWithoutSend(recv.msg)),
+            };
+            if send.process != recv.peer || send.peer != recv.process {
+                return Err(ComputationError::MismatchedEndpoints {
+                    msg: recv.msg,
+                    send: (send.process, send.peer),
+                    receive: (recv.peer, recv.process),
                 });
             }
+            sent_at[recv.at] = send.at;
         }
+        Ok(sent_at)
     }
+}
+
+/// One side of a message, as `Computation::match_messages` sorts it.
+struct Endpoint {
+    msg: MsgId,
+    /// The process whose trace holds the event.
+    process: ProcessId,
+    /// The destination of a send, or the claimed sender of a receive.
+    peer: ProcessId,
+    /// A send's index in its trace, or a receive's process-major index.
+    at: usize,
 }
 
 impl fmt::Display for Computation {
@@ -481,128 +543,206 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    #[test]
-    fn detects_pred_length_mismatch() {
+    fn send(to: u32, msg: u64) -> Event {
+        Event::Send {
+            to: p(to),
+            msg: MsgId::new(msg),
+        }
+    }
+
+    fn receive(from: u32, msg: u64) -> Event {
+        Event::Receive {
+            from: p(from),
+            msg: MsgId::new(msg),
+        }
+    }
+
+    /// A computation whose traces hold exactly `events`, predicate false.
+    fn traces(events: Vec<Vec<Event>>) -> Computation {
+        Computation::from_traces(
+            events
+                .into_iter()
+                .map(|events| ProcessTrace {
+                    pred: vec![false; events.len() + 1],
+                    events,
+                })
+                .collect(),
+        )
+    }
+
+    fn pred_length_mismatch() -> (Computation, ComputationError) {
         let mut t = ProcessTrace::new();
         t.pred.clear(); // now 0 flags for 0 events (want 1)
-        let c = Computation::from_traces(vec![t]);
-        assert!(matches!(
-            c.validate(),
-            Err(ComputationError::PredLengthMismatch { .. })
-        ));
+        let want = ComputationError::PredLengthMismatch {
+            process: p(0),
+            events: 0,
+            pred_len: 0,
+        };
+        (Computation::from_traces(vec![t]), want)
+    }
+
+    fn peer_out_of_range() -> (Computation, ComputationError) {
+        let want = ComputationError::PeerOutOfRange {
+            process: p(0),
+            peer: p(5),
+        };
+        (traces(vec![vec![send(5, 0)]]), want)
+    }
+
+    fn self_message() -> (Computation, ComputationError) {
+        let want = ComputationError::SelfMessage {
+            process: p(0),
+            msg: MsgId::new(0),
+        };
+        (traces(vec![vec![send(0, 0)]]), want)
+    }
+
+    fn duplicate_send() -> (Computation, ComputationError) {
+        let c = traces(vec![vec![send(1, 0), send(1, 0)], vec![]]);
+        (c, ComputationError::DuplicateSend(MsgId::new(0)))
+    }
+
+    fn duplicate_receive() -> (Computation, ComputationError) {
+        let c = traces(vec![vec![send(1, 0)], vec![receive(0, 0), receive(0, 0)]]);
+        (c, ComputationError::DuplicateReceive(MsgId::new(0)))
+    }
+
+    fn receive_without_send() -> (Computation, ComputationError) {
+        let c = traces(vec![vec![receive(1, 9)], vec![]]);
+        (c, ComputationError::ReceiveWithoutSend(MsgId::new(9)))
+    }
+
+    fn mismatched_endpoints() -> (Computation, ComputationError) {
+        // P2 claims to receive m0 although it was addressed to P1.
+        let c = traces(vec![vec![send(1, 0)], vec![], vec![receive(0, 0)]]);
+        let want = ComputationError::MismatchedEndpoints {
+            msg: MsgId::new(0),
+            send: (p(0), p(1)),
+            receive: (p(0), p(2)),
+        };
+        (c, want)
+    }
+
+    fn causal_cycle() -> (Computation, ComputationError) {
+        // P0: recv(m1) then send(m0);  P1: recv(m0) then send(m1).
+        let c = traces(vec![
+            vec![receive(1, 1), send(1, 0)],
+            vec![receive(0, 0), send(0, 1)],
+        ]);
+        (c, ComputationError::CausalCycle { stuck_events: 4 })
+    }
+
+    /// One hand-built computation per [`ComputationError`] variant, each
+    /// paired with the error `validate` must return for it.
+    fn invalid_computations() -> Vec<(Computation, ComputationError)> {
+        vec![
+            pred_length_mismatch(),
+            peer_out_of_range(),
+            self_message(),
+            duplicate_send(),
+            duplicate_receive(),
+            receive_without_send(),
+            mismatched_endpoints(),
+            causal_cycle(),
+        ]
+    }
+
+    fn assert_rejected((c, want): (Computation, ComputationError)) {
+        assert_eq!(c.validate(), Err(want));
+    }
+
+    #[test]
+    fn detects_pred_length_mismatch() {
+        assert_rejected(pred_length_mismatch());
     }
 
     #[test]
     fn detects_peer_out_of_range() {
-        let mut t = ProcessTrace::new();
-        t.events.push(Event::Send {
-            to: p(5),
-            msg: MsgId::new(0),
-        });
-        t.pred.push(false);
-        let c = Computation::from_traces(vec![t]);
-        assert!(matches!(
-            c.validate(),
-            Err(ComputationError::PeerOutOfRange { .. })
-        ));
+        assert_rejected(peer_out_of_range());
     }
 
     #[test]
     fn detects_self_message() {
-        let mut t = ProcessTrace::new();
-        t.events.push(Event::Send {
-            to: p(0),
-            msg: MsgId::new(0),
-        });
-        t.pred.push(false);
-        let c = Computation::from_traces(vec![t]);
-        assert!(matches!(
-            c.validate(),
-            Err(ComputationError::SelfMessage { .. })
-        ));
+        assert_rejected(self_message());
     }
 
     #[test]
     fn detects_duplicate_send() {
-        let mk = |to| Event::Send {
-            to,
-            msg: MsgId::new(0),
-        };
-        let mut t0 = ProcessTrace::new();
-        t0.events.extend([mk(p(1)), mk(p(1))]);
-        t0.pred.extend([false, false]);
-        let c = Computation::from_traces(vec![t0, ProcessTrace::new()]);
-        assert_eq!(
-            c.validate(),
-            Err(ComputationError::DuplicateSend(MsgId::new(0)))
-        );
+        assert_rejected(duplicate_send());
+    }
+
+    #[test]
+    fn detects_duplicate_receive() {
+        assert_rejected(duplicate_receive());
     }
 
     #[test]
     fn detects_receive_without_send() {
-        let mut t = ProcessTrace::new();
-        t.events.push(Event::Receive {
-            from: p(1),
-            msg: MsgId::new(9),
-        });
-        t.pred.push(false);
-        let c = Computation::from_traces(vec![t, ProcessTrace::new()]);
-        assert_eq!(
-            c.validate(),
-            Err(ComputationError::ReceiveWithoutSend(MsgId::new(9)))
-        );
+        assert_rejected(receive_without_send());
     }
 
     #[test]
     fn detects_mismatched_endpoints() {
-        let mut t0 = ProcessTrace::new();
-        t0.events.push(Event::Send {
-            to: p(1),
-            msg: MsgId::new(0),
-        });
-        t0.pred.push(false);
-        let mut t2 = ProcessTrace::new();
-        // P2 claims to receive m0 although it was addressed to P1.
-        t2.events.push(Event::Receive {
-            from: p(0),
-            msg: MsgId::new(0),
-        });
-        t2.pred.push(false);
-        let c = Computation::from_traces(vec![t0, ProcessTrace::new(), t2]);
-        assert!(matches!(
-            c.validate(),
-            Err(ComputationError::MismatchedEndpoints { .. })
-        ));
+        assert_rejected(mismatched_endpoints());
     }
 
     #[test]
     fn detects_causal_cycle() {
-        // P0: recv(m1) then send(m0);  P1: recv(m0) then send(m1).
-        let mut t0 = ProcessTrace::new();
-        t0.events.push(Event::Receive {
-            from: p(1),
-            msg: MsgId::new(1),
-        });
-        t0.events.push(Event::Send {
-            to: p(1),
-            msg: MsgId::new(0),
-        });
-        t0.pred.extend([false, false]);
-        let mut t1 = ProcessTrace::new();
-        t1.events.push(Event::Receive {
-            from: p(0),
-            msg: MsgId::new(0),
-        });
-        t1.events.push(Event::Send {
-            to: p(0),
-            msg: MsgId::new(1),
-        });
-        t1.pred.extend([false, false]);
-        let c = Computation::from_traces(vec![t0, t1]);
-        assert_eq!(
-            c.validate(),
-            Err(ComputationError::CausalCycle { stuck_events: 4 })
-        );
+        assert_rejected(causal_cycle());
+    }
+
+    #[test]
+    fn annotate_rejects_every_invalid_computation() {
+        for (c, want) in invalid_computations() {
+            let payload = std::panic::catch_unwind(|| {
+                c.annotate();
+            })
+            .expect_err("annotate accepted an invalid computation");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("cannot annotate an invalid computation"),
+                "{want:?}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn orphan_receives_report_the_smallest_msg_every_time() {
+        // P0 receives m8, m6, m5, m7 from P1, which sends nothing.
+        let c = traces(vec![
+            vec![receive(1, 8), receive(1, 6), receive(1, 5), receive(1, 7)],
+            vec![],
+        ]);
+        for _ in 0..200 {
+            assert_eq!(
+                c.validate(),
+                Err(ComputationError::ReceiveWithoutSend(MsgId::new(5)))
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_endpoints_report_the_smallest_msg_every_time() {
+        // P0 sends m5..m8 to P1, but P2 claims every one of them.
+        let c = traces(vec![
+            (5..=8).map(|m| send(1, m)).collect(),
+            vec![],
+            [7, 5, 8, 6].into_iter().map(|m| receive(0, m)).collect(),
+        ]);
+        for _ in 0..200 {
+            assert_eq!(
+                c.validate(),
+                Err(ComputationError::MismatchedEndpoints {
+                    msg: MsgId::new(5),
+                    send: (p(0), p(1)),
+                    receive: (p(0), p(2)),
+                })
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,12 @@
 # `scripts/bench.sh parallel` labels an entry for that section;
 # docs/performance.md quotes its crossover table.
 #
+# Each standard workload's `substrate` object also times the clock
+# annotation every offline detector starts from (`Computation::annotate`:
+# `annotate_median_ns`, `annotate_min_ns`) beside the snapshot-queue
+# build; `scripts/bench.sh annotate-flat` labels the entry for the flat
+# clock table that docs/performance.md quotes.
+#
 # This is informational tooling, NOT part of tier-1 verification
 # (scripts/verify.sh); timings are machine-dependent and must never
 # gate a build.
